@@ -24,21 +24,18 @@ The parallel executor keeps the Pipe only for the startup handshake,
 the final results, and crash relay; every per-round exchange rides the
 shared-memory segments in :mod:`repro.fleet.transport`.  Workers
 receive their whole fault schedule at spawn, absorb fleet knowledge
-in-process against the append-only shared knowledge log ("entries
-published before round R" — the same barrier semantics the serial
-runner implements with cursors), and publish round output into
-ring-buffered segments the coordinator merges with vectorized
-stacked-array appends, overlapped with the workers' next round of
-compute.  See ``docs/performance.md`` ("Fleet transport") for the
-layout and the equivalence argument.
+in-process against the append-only shared knowledge log, and publish
+round output into per-worker rings the coordinator drains and merges
+in round order.  See ``docs/performance.md`` ("Fleet transport") for
+the layout and the equivalence argument.
 
-``staleness_rounds=K`` opts into *bounded-staleness* exchange: the
+``staleness_rounds=K`` sets how late knowledge may be absorbed: the
 knowledge watermark decouples from the round counter, workers absorb
-the shared log up to K rounds late, and the coordinator becomes a
+the shared log up to K rounds late, and the coordinator is a
 free-running consumer of per-worker output rings
-(:func:`_run_sharded_staleness`).  ``K = 0`` reproduces the barrier
-bit-exactly; see ``docs/performance.md`` ("Bounded-staleness
-exchange").
+(:func:`_run_sharded_staleness`).  The default ``K = 0`` is the
+barrier described above; see ``docs/performance.md``
+("Bounded-staleness exchange").
 """
 
 from __future__ import annotations
@@ -64,7 +61,6 @@ from repro.fleet.member import FleetMember, FleetRoundStats
 from repro.fleet.transport import (
     ControlSegment,
     KnowledgeLogSegment,
-    StalenessControlSegment,
     Vocab,
     WorkerOutSegment,
     acquire_with_liveness,
@@ -135,9 +131,8 @@ class FleetResult:
         n_services / episodes_per_service / seed / workers /
         share_knowledge: the campaign shape, echoed for reports.
         staleness_rounds: the bounded-staleness budget the campaign
-            ran with (``None`` = classic barrier exchange, ``0`` =
-            barrier-equivalent staleness executor, ``K`` = absorb up
-            to K rounds late, ``inf`` = unbounded).
+            ran with (``0`` = barrier exchange, ``K`` = absorb up to K
+            rounds late, ``inf`` = unbounded).
         slo_breaches_after_heal: verified heals whose SLO re-broke
             within the post-heal window (``None`` unless the campaign
             ran with ``track_slo=True``).
@@ -166,8 +161,7 @@ class FleetResult:
     seed: int
     workers: int
     share_knowledge: bool
-    engine: str = "object"
-    staleness_rounds: int | float | None = None
+    staleness_rounds: int | float = 0
     slo_breaches_after_heal: int | None = None
     knowledge_entries: int = 0
     knowledge_absorbed: int = 0
@@ -249,12 +243,8 @@ def _transport_vocab() -> tuple[str, ...]:
     return tuple(dict.fromkeys((*ALL_FIX_KINDS, "healed", "admin")))
 
 
-def _normalize_staleness(
-    staleness_rounds: int | float | None,
-) -> int | float | None:
-    """Validate a staleness budget: None, a whole number >= 0, or inf."""
-    if staleness_rounds is None:
-        return None
+def _normalize_staleness(staleness_rounds: int | float) -> int | float:
+    """Validate a staleness budget: a whole number >= 0, or inf."""
     if staleness_rounds == float("inf"):
         return float("inf")
     try:
@@ -263,7 +253,7 @@ def _normalize_staleness(
         budget = -1
     if budget != staleness_rounds or budget < 0:
         raise ValueError(
-            "staleness_rounds must be None, a non-negative integer, "
+            "staleness_rounds must be a non-negative integer "
             f"or float('inf'), got {staleness_rounds!r}"
         )
     return budget
@@ -340,8 +330,7 @@ def _fleet_worker(
     profile_path: str | None,
     dispatch_sem,
     done_sem,
-    fuse: bool = True,
-    staleness_slots: int | None = None,
+    ring_slots: int,
 ) -> None:
     """Persistent shard process owning a subset of replicas.
 
@@ -355,17 +344,13 @@ def _fleet_worker(
     semaphore pair (whose acquire/release ordering makes the segment
     reads safe on any architecture).  Knowledge absorption happens
     here, in the worker, against the append-only shared log: member
-    ``i`` absorbs the foreign entries below the round's watermark,
-    exactly the serial runner's cursor semantics.
+    ``i`` absorbs the foreign entries below the dispatch's watermark.
 
-    With ``staleness_slots`` set (the bounded-staleness executor) the
-    worker attaches a per-worker :class:`StalenessControlSegment`
-    instead of the global barrier control block: each dispatch record
-    carries the watermark the coordinator had merged when the dispatch
-    was issued — decoupled from the round counter — plus the merge
-    frontier, from which the worker ledgers its observed round lag.
-    The compute path is untouched; only where the watermark comes from
-    changes.
+    Each dispatch record in the worker's :class:`ControlSegment`
+    carries the watermark the coordinator had merged when it issued
+    the dispatch, plus the merge frontier, from which the worker
+    ledgers its observed round lag.  Under ``K = 0`` that watermark is
+    the barrier's: every earlier round is merged before the dispatch.
     """
     control = log = out = None
     profiler = None
@@ -381,14 +366,6 @@ def _fleet_worker(
             for i in indices
         }
         order = sorted(members)
-        fused = None
-        if member_kwargs.get("columnar") and fuse:
-            # Each worker drives its shard's members in lockstep; the
-            # aggregate numbers stay bit-identical for any sharding
-            # because members only interact at round barriers.
-            from repro.fleet.fused_monitoring import FusedFleet
-
-            fused = FusedFleet([members[i] for i in order])
         dim = max(members[i].symptom_dim for i in order)
         conn.send(("ready", dim))
         message = conn.recv()
@@ -406,17 +383,11 @@ def _fleet_worker(
             out_name,
             out_entries,
             out_data,
-            out_slots,
         ) = message
-        if staleness_slots is not None:
-            control = StalenessControlSegment.attach(
-                control_name, staleness_slots, n_services
-            )
-        else:
-            control = ControlSegment(n_services, name=control_name)
+        control = ControlSegment.attach(control_name, ring_slots, n_services)
         log = KnowledgeLogSegment.attach(log_name, log_entries, log_data)
         out = WorkerOutSegment.attach(
-            out_name, len(order), out_entries, out_data, n_slots=out_slots
+            out_name, len(order), out_entries, out_data, n_slots=ring_slots
         )
         cursors = {i: 0 for i in order}
         staleness_lags: list[int] = []
@@ -438,30 +409,15 @@ def _fleet_worker(
                 what=f"round {round_index} dispatch",
             )
             dispatch_wait_s += time.perf_counter() - wait_started
-            if staleness_slots is not None:
-                watermark, frontier, targets = control.read_dispatch(
-                    round_index
+            watermark, frontier, targets = control.read_round(round_index)
+            staleness_lags.append(round_index - frontier)
+            staleness_marks.append(watermark)
+            if log.published < watermark:  # pragma: no cover - guard
+                raise RuntimeError(
+                    f"round {round_index} dispatched with watermark "
+                    f"{watermark} ahead of the published log "
+                    f"({log.published})"
                 )
-                staleness_lags.append(round_index - frontier)
-                staleness_marks.append(watermark)
-                if log.published < watermark:  # pragma: no cover - guard
-                    raise RuntimeError(
-                        f"round {round_index} dispatched with watermark "
-                        f"{watermark} ahead of the published log "
-                        f"({log.published})"
-                    )
-            else:
-                watermark, targets = control.read_round(round_index)
-                # Sanity, not synchronization: the dispatch semaphore
-                # already fenced these stores.
-                if (
-                    control.round_published() <= round_index
-                    or log.published < watermark
-                ):  # pragma: no cover - protocol guard
-                    raise RuntimeError(
-                        f"round {round_index} dispatched before its "
-                        "control/log stores were published"
-                    )
             lo = round_index * episodes_per_round
             hi = min(lo + episodes_per_round, n_slots)
             downtime: list[float] = []
@@ -470,38 +426,14 @@ def _fleet_worker(
             vectors: list[np.ndarray] = []
             fix_codes: list[int] = []
             origin_codes: list[int] = []
-            fused_stats = None
-            if fused is not None:
-                # The shared log is frozen below the watermark and the
-                # dispatch semaphore fenced it, so materializing every
-                # member's foreign entries up front reads the same
-                # bytes the interleaved loop would.
-                fused_stats = fused.run_round(
-                    {i: queues[i][lo:hi] for i in order},
-                    {
-                        i: _entries_from_log(
-                            log, cursors[i], watermark, i, vocab
-                        )
-                        for i in order
-                    },
-                    {i: float(targets[i]) for i in order},
-                    max_episode_wait=max_episode_wait,
-                    settle_ticks=settle_ticks,
-                )
             for i in order:
-                stats = (
-                    fused_stats[i]
-                    if fused_stats is not None
-                    else _member_round(
-                        members[i],
-                        queues[i][lo:hi],
-                        _entries_from_log(
-                            log, cursors[i], watermark, i, vocab
-                        ),
-                        float(targets[i]),
-                        max_episode_wait,
-                        settle_ticks,
-                    )
+                stats = _member_round(
+                    members[i],
+                    queues[i][lo:hi],
+                    _entries_from_log(log, cursors[i], watermark, i, vocab),
+                    float(targets[i]),
+                    max_episode_wait,
+                    settle_ticks,
                 )
                 cursors[i] = watermark
                 downtime.append(stats.downtime_fraction)
@@ -545,17 +477,8 @@ def _fleet_worker(
                     },
                     "perf": {
                         "dispatch_wait_s": dispatch_wait_s,
-                        "fused": (
-                            fused.counters if fused is not None else None
-                        ),
-                        "staleness": (
-                            {
-                                "round_lag": staleness_lags,
-                                "watermark": staleness_marks,
-                            }
-                            if staleness_slots is not None
-                            else None
-                        ),
+                        "round_lag": staleness_lags,
+                        "watermark": staleness_marks,
                     },
                 },
             )
@@ -583,30 +506,6 @@ def _recv(conn):
     return payload
 
 
-def _barrier_merge(
-    shards: list[list[int]],
-    outs: list[WorkerOutSegment],
-    round_index: int,
-    n_services: int,
-    balancer: FleetLoadBalancer,
-    log: KnowledgeLogSegment,
-    enabled: bool,
-) -> tuple[list[float], list[float], int, tuple[int, int] | None]:
-    """Process one completed round's worker outputs at the barrier.
-
-    Reads the round-parity output buffers (zero-copy), rebalances, and
-    appends the round's contributions to the shared knowledge log in
-    replica order.  Returns ``(lb targets, per-service downtime,
-    absorbed delta, appended log block or None)``.  Scoping the
-    segment views to this function guarantees none outlive the round —
-    a lingering view would pin the shared buffers open past teardown.
-    """
-    reads = [out.read_round(round_index) for out in outs]
-    return _merge_round_reads(
-        shards, reads, n_services, balancer, log, enabled
-    )
-
-
 def _merge_round_reads(
     shards: list[list[int]],
     reads: list[dict],
@@ -615,13 +514,11 @@ def _merge_round_reads(
     log: KnowledgeLogSegment,
     enabled: bool,
 ) -> tuple[list[float], list[float], int, tuple[int, int] | None]:
-    """Merge one round's per-worker output columns (views or copies).
+    """Merge one round's stashed per-worker output columns.
 
-    The shared body of the barrier merge and the staleness executor's
-    frontier merge: rebalance on the round's downtime and append its
-    contributions to the shared log in replica order — the serial
-    merge order, which is what keeps the log bytes identical across
-    executors.
+    Rebalance on the round's downtime and append its contributions to
+    the shared log in replica order — the serial merge order, which is
+    what keeps the log bytes identical to the in-process runner's.
     """
     downtime = [0.0] * n_services
     absorbed = 0
@@ -709,9 +606,7 @@ def run_fleet_campaign(
     events_path: str | None = None,
     profile_dir: str | None = None,
     barrier_timeout: float = 600.0,
-    engine: str = "object",
-    fuse: bool = True,
-    staleness_rounds: int | float | None = None,
+    staleness_rounds: int | float = 0,
     track_slo: bool = False,
 ) -> FleetResult:
     """Run a correlated-fault campaign over a fleet of replicas.
@@ -756,37 +651,21 @@ def run_fleet_campaign(
             coordinator directly).
         barrier_timeout: seconds a round barrier may wait on shared
             memory before the campaign is declared hung.
-        engine: ``"object"`` steps each member's service through the
-            reference per-object path; ``"columnar"`` installs the
-            columnar fleet engine (:mod:`repro.fleet.columnar`):
-            block-buffered tier RNG streams, the vectorized database
-            tick dispatcher, and stacked knowledge-barrier merges.
-            Results are bit-identical between the two — pinned by the
-            large-fleet golden, the corpus replay, and the
-            Hypothesis differential suite.
-        fuse: with the columnar engine, drive homogeneous members
-            through the fused monitoring plane and lockstep rounds
-            (:mod:`repro.fleet.fused_monitoring`).  ``False`` keeps the
-            per-member pump with per-member accelerators — the ablation
-            arm the perf suite times to isolate the fusion win.
-            Ignored by the object engine.
-        staleness_rounds: opt-in bounded-staleness knowledge exchange.
-            ``None`` (the default) keeps the classic barrier executor.
-            An integer ``K`` lets every replica absorb the shared
-            knowledge log up to ``K`` rounds late: the parallel
-            executor decouples the knowledge watermark from the round
-            counter (workers read the freshest published watermark at
-            dispatch time, the coordinator free-runs as a consumer of
-            per-worker output rings), while the in-process runner
-            models the same budget deterministically by absorbing up
-            to the watermark recorded ``K`` rounds ago.  ``K = 0``
-            reproduces the barrier semantics bit-exactly — same
-            goldens, same telemetry event bytes (the CI equivalence
-            gate pins this).  ``float("inf")`` removes the budget:
-            sharded workers free-run against pure ring backpressure;
-            the serial model never absorbs (the fully-stale limit).
-            The observed per-round lag ledger lands in
-            ``FleetResult.transport["staleness"]``.
+        staleness_rounds: bounded-staleness knowledge exchange.  The
+            default ``0`` is the barrier: every replica absorbs all
+            knowledge published before its round.  An integer ``K``
+            lets every replica absorb the shared log up to ``K``
+            rounds late: the parallel executor decouples the knowledge
+            watermark from the round counter (workers read the
+            freshest published watermark at dispatch time, the
+            coordinator free-runs as a consumer of per-worker output
+            rings), while the in-process runner models the same
+            budget deterministically by absorbing up to the watermark
+            recorded ``K`` rounds ago.  ``float("inf")`` removes the
+            budget: sharded workers free-run against pure ring
+            backpressure; the serial model never absorbs (the
+            fully-stale limit).  The observed per-round lag ledger
+            lands in ``FleetResult.transport["staleness"]``.
         track_slo: keep every member's per-tick SLO timeline and grade
             each verified heal against the post-heal window
             (``FleetResult.slo_breaches_after_heal`` — the staleness
@@ -794,10 +673,6 @@ def run_fleet_campaign(
             in-process runner (``workers=1``): the timelines live with
             the members and never cross the worker boundary.
     """
-    if engine not in ("object", "columnar"):
-        raise ValueError(
-            f'engine must be "object" or "columnar", got {engine!r}'
-        )
     if n_services < 1:
         raise ValueError(f"n_services must be >= 1, got {n_services}")
     if episodes_per_service < 0:
@@ -869,7 +744,6 @@ def run_fleet_campaign(
         config=config,
         threshold=threshold,
         include_invasive=include_invasive,
-        columnar=engine == "columnar",
     )
     if track_slo:
         member_kwargs["track_slo"] = True
@@ -902,47 +776,36 @@ def run_fleet_campaign(
     barrier_wait_s: list[list[float]] = []
     dispatch_wait_s: list[float] = []
     merge_s = 0.0
-    fused_counters: dict | None = None
     member_event_streams: list[list[dict]] = []
 
-    staleness_ledger: dict | None = None
     slo_breaches: int | None = None
     use_workers = workers > 1 and n_services > 1
     if use_workers:
-        runner_kwargs = dict(
-            n_services=n_services,
-            workers=workers,
-            seed=seed,
-            queues=queues,
-            member_kwargs=member_kwargs,
-            max_episode_wait=max_episode_wait,
-            settle_ticks=settle_ticks,
-            n_rounds=n_rounds,
-            episodes_per_round=episodes_per_round,
-            n_slots=n_slots,
-            knowledge=knowledge,
-            balancer=balancer,
-            barrier_timeout=barrier_timeout,
-            profile_dir=profile_dir,
-            hub=hub,
-            round_lags=round_lags,
-            fuse=fuse,
+        campaigns, absorbed_total, events_by_member, shard_perf = (
+            _run_sharded_staleness(
+                n_services=n_services,
+                workers=workers,
+                seed=seed,
+                queues=queues,
+                member_kwargs=member_kwargs,
+                max_episode_wait=max_episode_wait,
+                settle_ticks=settle_ticks,
+                n_rounds=n_rounds,
+                episodes_per_round=episodes_per_round,
+                n_slots=n_slots,
+                knowledge=knowledge,
+                balancer=balancer,
+                barrier_timeout=barrier_timeout,
+                profile_dir=profile_dir,
+                hub=hub,
+                round_lags=round_lags,
+                staleness_rounds=staleness,
+            )
         )
-        if staleness is None:
-            campaigns, absorbed_total, events_by_member, shard_perf = (
-                _run_sharded(**runner_kwargs)
-            )
-        else:
-            campaigns, absorbed_total, events_by_member, shard_perf = (
-                _run_sharded_staleness(
-                    staleness_rounds=staleness, **runner_kwargs
-                )
-            )
         barrier_wait_s = shard_perf["barrier_wait_s"]
         dispatch_wait_s = shard_perf["dispatch_wait_s"]
         merge_s = shard_perf["merge_s"]
-        fused_counters = shard_perf["fused"]
-        staleness_ledger = shard_perf.get("staleness")
+        staleness_ledger = shard_perf["staleness"]
         if hub is not None:
             member_event_streams = [
                 events_by_member[i] for i in range(n_services)
@@ -970,18 +833,6 @@ def run_fleet_campaign(
                     "db": members[0].service.db.capacity,
                 },
             )
-        columnar_vocab = (
-            Vocab(_transport_vocab()) if engine == "columnar" else None
-        )
-        fused = None
-        if engine == "columnar" and recorder is None and fuse:
-            # Fused monitoring + lockstep rounds: homogeneous members
-            # stack their monitoring state and share batched engine
-            # passes.  The recorder needs per-member tick ordering in
-            # its trace lines, so recorded runs keep the classic pump.
-            from repro.fleet.fused_monitoring import FusedFleet
-
-            fused = FusedFleet(members)
         cursors = [0] * n_services
         watermark_history: list[int] = []
         serial_lag: list[int] = []
@@ -994,11 +845,10 @@ def run_fleet_campaign(
             # watermark recorded ``K`` rounds ago — the deterministic
             # worst case of the sharded executor's opportunistic
             # freshness.  ``K = 0`` absorbs to the current watermark,
-            # exactly the classic barrier; ``inf`` never absorbs.
-            if staleness is None or staleness == 0:
+            # exactly the barrier; ``inf`` never absorbs.
+            if staleness == 0:
                 absorb_watermark = watermark
-                if staleness is not None:
-                    serial_lag.append(0)
+                serial_lag.append(0)
             elif staleness == float("inf"):
                 absorb_watermark = 0
                 serial_lag.append(round_index)
@@ -1008,33 +858,21 @@ def run_fleet_campaign(
                     watermark_history[behind] if behind >= 0 else 0
                 )
                 serial_lag.append(min(round_index, staleness))
-            per_member = {}
-            for i in range(n_services):
+            stats_by_index: list[FleetRoundStats] = []
+            for i, member in enumerate(members):
                 external, cursors[i] = knowledge.updates_window(
                     i, cursors[i], absorb_watermark
                 )
-                per_member[i] = (external, lb_targets[i])
-
-            stats_by_index: dict[int, FleetRoundStats] = {}
-            if fused is not None:
-                stats_by_index = fused.run_round(
-                    {i: queues[i][lo:hi] for i in range(n_services)},
-                    {i: per_member[i][0] for i in range(n_services)},
-                    {i: per_member[i][1] for i in range(n_services)},
-                    max_episode_wait=max_episode_wait,
-                    settle_ticks=settle_ticks,
-                )
-            else:
-                for i, member in enumerate(members):
-                    external, lb_target = per_member[i]
-                    stats_by_index[i] = _member_round(
+                stats_by_index.append(
+                    _member_round(
                         member,
                         queues[i][lo:hi],
                         external,
-                        lb_target,
+                        lb_targets[i],
                         max_episode_wait,
                         settle_ticks,
                     )
+                )
 
             # Barrier: merge contributions in replica order, rebalance.
             merge_started = time.perf_counter()
@@ -1044,20 +882,11 @@ def run_fleet_campaign(
                 stats = stats_by_index[i]
                 downtime[i] = stats.downtime_fraction
                 absorbed_round += stats.absorbed
-            if columnar_vocab is not None:
-                # Columnar barrier: one stacked ragged append in
-                # replica order (entry-identical to the scalar loop).
-                from repro.fleet.columnar import merge_round_columnar
-
-                merge_round_columnar(
-                    knowledge, stats_by_index, n_services, columnar_vocab
-                )
-            else:
-                for i in range(n_services):
-                    for symptoms, fix_kind, origin in stats_by_index[
-                        i
-                    ].contributions:
-                        knowledge.contribute(i, symptoms, fix_kind, origin)
+            for i in range(n_services):
+                for symptoms, fix_kind, origin in stats_by_index[
+                    i
+                ].contributions:
+                    knowledge.contribute(i, symptoms, fix_kind, origin)
             lb_targets = balancer.rebalance(downtime)
             merge_s += time.perf_counter() - merge_started
             absorbed_total += absorbed_round
@@ -1073,8 +902,6 @@ def run_fleet_campaign(
                     lag=published,
                     downtime=downtime,
                 )
-        if fused is not None:
-            fused_counters = fused.counters
         campaigns = [member.result for member in members]
         if track_slo:
             # The corpus oracle's post-heal verdict, fleet-wide: clamp
@@ -1086,17 +913,14 @@ def run_fleet_campaign(
             slo_breaches = sum(
                 member.slo_breach_after_heal(window) for member in members
             )
-        if staleness is not None:
-            staleness_ledger = {
-                "mode": "serial-delayed",
-                "round_lag": serial_lag,
-                "lag_max": max(serial_lag) if serial_lag else 0,
-                "lag_mean": (
-                    sum(serial_lag) / len(serial_lag)
-                    if serial_lag
-                    else 0.0
-                ),
-            }
+        staleness_ledger = {
+            "mode": "serial-delayed",
+            "round_lag": serial_lag,
+            "lag_max": max(serial_lag) if serial_lag else 0,
+            "lag_mean": (
+                sum(serial_lag) / len(serial_lag) if serial_lag else 0.0
+            ),
+        }
         if hub is not None:
             member_event_streams = [
                 member.telemetry.events for member in members
@@ -1108,33 +932,20 @@ def run_fleet_campaign(
             recorder.summary(i, campaign.injected, campaign.undetected)
         trace_sha = recorder.close()
 
-    staleness_repr = (
-        None
-        if staleness is None
-        else ("inf" if staleness == float("inf") else staleness)
-    )
-    if staleness_ledger is not None:
-        staleness_ledger = {"rounds": staleness_repr, **staleness_ledger}
+    staleness_repr = "inf" if staleness == float("inf") else staleness
+    staleness_ledger = {"rounds": staleness_repr, **staleness_ledger}
 
     events_sha = None
     if hub is not None:
-        if staleness is not None and staleness != 0:
-            # K = 0 emits nothing extra: its event bytes must equal
-            # the barrier executor's (the equivalence gate's telemetry
-            # half).  K > 0 records its lag envelope in the log.
+        if staleness != 0:
+            # K = 0 emits nothing extra: its event bytes are the
+            # barrier's (the telemetry goldens pin them).  K > 0
+            # records its lag envelope in the log.
             hub.emit(
                 "fleet_staleness",
                 rounds=staleness_repr,
-                lag_max=(
-                    staleness_ledger["lag_max"]
-                    if staleness_ledger is not None
-                    else 0
-                ),
-                lag_mean=(
-                    staleness_ledger["lag_mean"]
-                    if staleness_ledger is not None
-                    else 0.0
-                ),
+                lag_max=staleness_ledger["lag_max"],
+                lag_mean=staleness_ledger["lag_mean"],
             )
         hub.emit(
             "fleet_end",
@@ -1163,7 +974,6 @@ def run_fleet_campaign(
 
     transport = {
         "mode": "sharded" if use_workers else "serial",
-        "engine": engine,
         "workers": min(workers, n_services) if use_workers else 1,
         "rounds": n_rounds,
         "knowledge": {
@@ -1181,13 +991,9 @@ def run_fleet_campaign(
         "barrier_wait_s": barrier_wait_s,
         "dispatch_wait_s": dispatch_wait_s,
         "merge_s": merge_s,
-        # Fused-monitoring engagement counters (None for the object
-        # engine / recorded runs).  The CI equivalence and perf gates
-        # read these to reject silent per-member fallback.
-        "fused": fused_counters,
-        # Bounded-staleness ledger (None when the classic barrier
-        # executor ran): budget, observed per-round lag, and — for the
-        # sharded executor — ring depth and consume-wait timing.
+        # Bounded-staleness ledger: budget, observed per-round lag,
+        # and — for the sharded executor — ring depth and consume-wait
+        # timing.
         "staleness": staleness_ledger,
     }
 
@@ -1199,7 +1005,6 @@ def run_fleet_campaign(
         seed=seed,
         workers=workers,
         share_knowledge=share_knowledge,
-        engine=engine,
         staleness_rounds=staleness,
         slo_breaches_after_heal=slo_breaches,
         knowledge_entries=knowledge.n_entries,
@@ -1212,281 +1017,6 @@ def run_fleet_campaign(
         events_sha256=events_sha,
         transport=transport,
     )
-
-
-def _run_sharded(
-    *,
-    n_services: int,
-    workers: int,
-    seed: int,
-    queues: list,
-    member_kwargs: dict,
-    max_episode_wait: int,
-    settle_ticks: int,
-    n_rounds: int,
-    episodes_per_round: int,
-    n_slots: int,
-    knowledge: SharedKnowledgeBase,
-    balancer: FleetLoadBalancer,
-    barrier_timeout: float,
-    profile_dir: str | None,
-    hub=None,
-    round_lags: list[int] | None = None,
-    fuse: bool = True,
-) -> tuple[list[CampaignResult], int, dict[int, list[dict]], dict]:
-    """The coordinator side of the shared-memory parallel executor.
-
-    Round protocol (after the one-time handshake):
-
-    1. write ``(lb targets, knowledge watermark)`` for round R into
-       the double-buffered control segment and release every worker's
-       dispatch semaphore (the release fences the stores — including
-       the shared-log append from the previous barrier that the
-       watermark covers);
-    2. with the workers now simulating round R, perform the *deferred*
-       host-side merge of round R-1's contributions — a pure coded
-       column append into the host knowledge base, overlapped with
-       worker compute;
-    3. acquire every worker's done semaphore, read downtime/absorb
-       counts and contributions as zero-copy views of the round-parity
-       output buffers, rebalance, and append the contributions to the
-       shared knowledge log (in replica order — the serial merge
-       order) ready for round R+1's watermark.
-    """
-    vocab_words = _transport_vocab()
-    absorbed_total = 0
-    if round_lags is None:
-        round_lags = []
-    barrier_wait_s: list[list[float]] = []
-    merge_s = 0.0
-    # Start the resource tracker *before* forking workers so they
-    # inherit it.  The segments are only created after the handshake;
-    # a worker that forked trackerless would lazily spawn its own
-    # tracker on attach and "clean up" the coordinator's live segments
-    # when it exits.
-    try:  # pragma: no cover - private but stable across 3.8-3.13
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except Exception:
-        pass
-    shards: list[list[int]] = [
-        [] for _ in range(min(workers, n_services))
-    ]
-    for i in range(n_services):
-        shards[i % len(shards)].append(i)
-
-    processes: list[multiprocessing.Process] = []
-    connections = []
-    dispatch_sems = []
-    done_sems = []
-    control = None
-    log = None
-    outs: list[WorkerOutSegment] = []
-    try:
-        for worker_id, shard in enumerate(shards):
-            parent_conn, child_conn = multiprocessing.Pipe()
-            dispatch_sem = multiprocessing.Semaphore(0)
-            done_sem = multiprocessing.Semaphore(0)
-            profile_path = (
-                os.path.join(
-                    profile_dir, f"fleet-worker-{worker_id}.prof"
-                )
-                if profile_dir is not None
-                else None
-            )
-            process = multiprocessing.Process(
-                target=_fleet_worker,
-                args=(
-                    child_conn,
-                    shard,
-                    seed,
-                    {i: queues[i] for i in shard},
-                    member_kwargs,
-                    max_episode_wait,
-                    settle_ticks,
-                    n_rounds,
-                    episodes_per_round,
-                    n_slots,
-                    vocab_words,
-                    barrier_timeout,
-                    profile_path,
-                    dispatch_sem,
-                    done_sem,
-                    fuse,
-                ),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            processes.append(process)
-            connections.append(parent_conn)
-            dispatch_sems.append(dispatch_sem)
-            done_sems.append(done_sem)
-
-        # Handshake: symptom widths size the ragged segments.  The
-        # knowledge log's structural bound is one contribution per
-        # episode slot per replica.
-        max_dim = max(_recv(conn) for conn in connections)
-        log_entries = n_services * max(n_slots, 1) + 16
-        log_data = log_entries * max(max_dim, 1)
-        control = ControlSegment(n_services)
-        log = KnowledgeLogSegment(log_entries, log_data)
-        for shard, conn in zip(shards, connections):
-            out_entries = 2 * len(shard) * episodes_per_round + 8
-            out_data = out_entries * max(max_dim, 1)
-            out = WorkerOutSegment(len(shard), out_entries, out_data)
-            outs.append(out)
-            conn.send(
-                (
-                    "attach",
-                    control.name,
-                    n_services,
-                    log.name,
-                    log_entries,
-                    log_data,
-                    out.name,
-                    out_entries,
-                    out_data,
-                    out.n_slots,
-                )
-            )
-
-        def workers_alive() -> None:
-            for process, conn in zip(processes, connections):
-                if conn.poll():
-                    _recv(conn)  # raises with the worker's traceback
-                if not process.is_alive():
-                    raise RuntimeError(
-                        "fleet worker died without reporting an error"
-                    )
-
-        def merge_pending_into_host_base() -> None:
-            # Deferred host-side merge: the shared log already holds
-            # the block (coordinator-owned, immutable), and the coded
-            # string columns copy straight through.
-            nonlocal pending
-            if pending is None:
-                return
-            lo, hi = pending
-            pending = None
-            sources, fix_codes, origin_codes, bounds, data = (
-                log.read_entries(lo, hi)
-            )
-            knowledge.contribute_batch_coded(
-                data[int(bounds[0]) : int(bounds[-1])],
-                np.diff(bounds),
-                sources,
-                fix_codes,
-                origin_codes,
-                vocab_words,
-            )
-
-        lb_targets = [1.0] * n_services
-        pending: tuple[int, int] | None = None
-        for round_index in range(n_rounds):
-            watermark = log.published
-            control.publish_round(
-                round_index, log.published, lb_targets
-            )
-            for dispatch_sem in dispatch_sems:
-                dispatch_sem.release()
-            # The workers are simulating round R now — overlap the
-            # host knowledge-base merge of round R-1's contributions
-            # with their compute.
-            merge_started = time.perf_counter()
-            merge_pending_into_host_base()
-            merge_s += time.perf_counter() - merge_started
-            waits: list[float] = []
-            for worker_id, done_sem in enumerate(done_sems):
-                wait_started = time.perf_counter()
-                acquire_with_liveness(
-                    done_sem,
-                    timeout=barrier_timeout,
-                    liveness=workers_alive,
-                    what=(
-                        f"round {round_index} outputs "
-                        f"(worker {worker_id})"
-                    ),
-                )
-                waits.append(time.perf_counter() - wait_started)
-            barrier_wait_s.append(waits)
-            merge_started = time.perf_counter()
-            lb_targets, downtime, absorbed, pending = _barrier_merge(
-                shards,
-                outs,
-                round_index,
-                n_services,
-                balancer,
-                log,
-                knowledge.enabled,
-            )
-            merge_s += time.perf_counter() - merge_started
-            # The merge's views are dropped; free the round's slot.
-            # The next dispatch release fences this store for the
-            # worker's write-guard read.
-            for out in outs:
-                out.mark_consumed(round_index)
-            absorbed_total += absorbed
-            published = log.published - watermark
-            round_lags.append(published)
-            if hub is not None:
-                hub.emit(
-                    "fleet_round",
-                    round=round_index,
-                    watermark=watermark,
-                    published=published,
-                    absorbed=absorbed,
-                    lag=published,
-                    downtime=downtime,
-                )
-        merge_started = time.perf_counter()
-        merge_pending_into_host_base()
-        merge_s += time.perf_counter() - merge_started
-
-        per_service: dict[int, CampaignResult] = {}
-        events_by_member: dict[int, list[dict]] = {}
-        dispatch_wait_s: list[float] = []
-        for conn in connections:
-            conn.send(("finish",))
-        fused_counters: dict | None = None
-        for conn in connections:
-            payload = _recv(conn)
-            per_service.update(payload["results"])
-            events_by_member.update(payload.get("events") or {})
-            dispatch_wait_s.append(
-                float(payload["perf"]["dispatch_wait_s"])
-            )
-            worker_fused = payload["perf"].get("fused")
-            if worker_fused is not None:
-                if fused_counters is None:
-                    fused_counters = dict.fromkeys(worker_fused, 0)
-                for key, value in worker_fused.items():
-                    fused_counters[key] += value
-        return (
-            [per_service[i] for i in range(n_services)],
-            absorbed_total,
-            events_by_member,
-            {
-                "barrier_wait_s": barrier_wait_s,
-                "dispatch_wait_s": dispatch_wait_s,
-                "merge_s": merge_s,
-                "fused": fused_counters,
-            },
-        )
-    finally:
-        if control is not None:
-            control.abort()
-        for conn in connections:
-            conn.close()
-        for process in processes:
-            process.join(timeout=30)
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
-        for segment in (control, log, *outs):
-            if segment is not None:
-                segment.close()
-                segment.unlink()
 
 
 def _run_sharded_staleness(
@@ -1505,21 +1035,18 @@ def _run_sharded_staleness(
     balancer: FleetLoadBalancer,
     barrier_timeout: float,
     profile_dir: str | None,
-    hub=None,
-    round_lags: list[int] | None = None,
-    fuse: bool = True,
-    staleness_rounds: int | float = 0,
+    hub,
+    round_lags: list[int],
+    staleness_rounds: int | float,
 ) -> tuple[list[CampaignResult], int, dict[int, list[dict]], dict]:
-    """The bounded-staleness coordinator: a free-running consumer.
+    """The coordinator of the parallel executor: a free-running consumer.
 
-    Where :func:`_run_sharded` runs one global barrier per round, this
-    executor decouples dispatch from merge:
+    Dispatch is decoupled from merge:
 
-    * each worker has its own dispatch ring
-      (:class:`StalenessControlSegment`); a dispatch carries the
-      *freshest* merged watermark, not the round-numbered one — a
-      worker dispatched early absorbs whatever the coordinator had
-      merged at that instant;
+    * each worker has its own dispatch ring (:class:`ControlSegment`);
+      a dispatch carries the *freshest* merged watermark, not a
+      round-numbered one — a worker dispatched early absorbs whatever
+      the coordinator had merged at that instant;
     * dispatch is gated, per worker, by the staleness budget
       (``next_round - merge_frontier <= K``) and the output ring
       (``next_round - stashed < ring_slots``);
@@ -1529,25 +1056,28 @@ def _run_sharded_staleness(
       stashed rounds strictly in round order — replica order within a
       round — so the shared log's byte stream stays coherent;
     * it blocks only when nothing else can move, and then only on a
-      worker that still owes the frontier round.
+      worker that still owes the frontier round.  Those blocking waits
+      are ledgered per frontier round in ``barrier_wait_s``.
 
     Deadlock-free because a worker's stashed count never trails the
     frontier (its rounds ``< F`` are merged, hence stashed), so the
     frontier round always passes both dispatch gates.  With ``K = 0``
     the gates force dispatch of round R to wait for the full merge of
-    round R-1 — exactly the barrier schedule, with the same log bytes,
-    merge order, and ``fleet_round`` telemetry (pinned by the
-    equivalence gate).
+    round R-1 — the barrier schedule, with the in-process runner's log
+    bytes, merge order and ``fleet_round`` telemetry.
     """
     vocab_words = _transport_vocab()
     absorbed_total = 0
-    if round_lags is None:
-        round_lags = []
     merge_s = 0.0
-    consume_wait_s = 0.0
+    barrier_wait_s: list[list[float]] = [[] for _ in range(n_rounds)]
     ring_slots = ring_slots_for(staleness_rounds)
     unbounded = staleness_rounds == float("inf")
     budget = None if unbounded else int(staleness_rounds)
+    # Start the resource tracker *before* forking workers so they
+    # inherit it.  The segments are only created after the handshake;
+    # a worker that forked trackerless would lazily spawn its own
+    # tracker on attach and "clean up" the coordinator's live segments
+    # when it exits.
     try:  # pragma: no cover - private but stable across 3.8-3.13
         from multiprocessing import resource_tracker
 
@@ -1565,7 +1095,7 @@ def _run_sharded_staleness(
     connections = []
     dispatch_sems = []
     done_sems = []
-    controls: list[StalenessControlSegment] = []
+    controls: list[ControlSegment] = []
     log = None
     outs: list[WorkerOutSegment] = []
     try:
@@ -1598,7 +1128,6 @@ def _run_sharded_staleness(
                     profile_path,
                     dispatch_sem,
                     done_sem,
-                    fuse,
                     ring_slots,
                 ),
                 daemon=True,
@@ -1610,12 +1139,15 @@ def _run_sharded_staleness(
             dispatch_sems.append(dispatch_sem)
             done_sems.append(done_sem)
 
+        # Handshake: symptom widths size the ragged segments.  The
+        # knowledge log's structural bound is one contribution per
+        # episode slot per replica.
         max_dim = max(_recv(conn) for conn in connections)
         log_entries = n_services * max(n_slots, 1) + 16
         log_data = log_entries * max(max_dim, 1)
         log = KnowledgeLogSegment(log_entries, log_data)
         for shard, conn in zip(shards, connections):
-            control = StalenessControlSegment(ring_slots, n_services)
+            control = ControlSegment(ring_slots, n_services)
             controls.append(control)
             out_entries = 2 * len(shard) * episodes_per_round + 8
             out_data = out_entries * max(max_dim, 1)
@@ -1634,7 +1166,6 @@ def _run_sharded_staleness(
                     out.name,
                     out_entries,
                     out_data,
-                    ring_slots,
                 )
             )
 
@@ -1681,9 +1212,8 @@ def _run_sharded_staleness(
                 knowledge.enabled,
             )
             if block is not None:
-                # Host-base mirror of the appended block, immediately:
-                # there is no barrier to defer it behind — the workers
-                # are already free-running.
+                # Mirror the appended block into the host base: the
+                # coded string columns copy straight through.
                 lo, hi = block
                 sources, fix_codes, origin_codes, bounds, data = (
                     log.read_entries(lo, hi)
@@ -1714,8 +1244,7 @@ def _run_sharded_staleness(
 
         while frontier < n_rounds:
             # Dispatch every worker as far as the gates allow.  The
-            # watermark is whatever the log holds *now* — the
-            # round-decoupled freshness that defines this mode.
+            # watermark is whatever the log holds *now*.
             for w in range(n_workers):
                 while (
                     dispatched[w] < n_rounds
@@ -1725,7 +1254,7 @@ def _run_sharded_staleness(
                         or dispatched[w] - frontier <= budget
                     )
                 ):
-                    controls[w].publish_dispatch(
+                    controls[w].publish_round(
                         dispatched[w], log.published, frontier, lb_targets
                     )
                     dispatch_sems[w].release()
@@ -1763,7 +1292,9 @@ def _run_sharded_staleness(
                     f"staleness={staleness_rounds})"
                 ),
             )
-            consume_wait_s += time.perf_counter() - wait_started
+            barrier_wait_s[frontier].append(
+                time.perf_counter() - wait_started
+            )
             stash_round(blocker)
 
         per_service: dict[int, CampaignResult] = {}
@@ -1773,37 +1304,23 @@ def _run_sharded_staleness(
         worker_marks: dict[int, list[int]] = {}
         for conn in connections:
             conn.send(("finish",))
-        fused_counters: dict | None = None
         for worker_id, conn in enumerate(connections):
             payload = _recv(conn)
             per_service.update(payload["results"])
-            events_by_member.update(payload.get("events") or {})
-            dispatch_wait_s.append(
-                float(payload["perf"]["dispatch_wait_s"])
-            )
-            ledger = payload["perf"].get("staleness") or {}
-            worker_lags[worker_id] = [
-                int(v) for v in ledger.get("round_lag", [])
-            ]
-            worker_marks[worker_id] = [
-                int(v) for v in ledger.get("watermark", [])
-            ]
-            worker_fused = payload["perf"].get("fused")
-            if worker_fused is not None:
-                if fused_counters is None:
-                    fused_counters = dict.fromkeys(worker_fused, 0)
-                for key, value in worker_fused.items():
-                    fused_counters[key] += value
+            events_by_member.update(payload["events"])
+            perf = payload["perf"]
+            dispatch_wait_s.append(float(perf["dispatch_wait_s"]))
+            worker_lags[worker_id] = perf["round_lag"]
+            worker_marks[worker_id] = perf["watermark"]
         all_lags = [lag for lags in worker_lags.values() for lag in lags]
         return (
             [per_service[i] for i in range(n_services)],
             absorbed_total,
             events_by_member,
             {
-                "barrier_wait_s": [],
+                "barrier_wait_s": barrier_wait_s,
                 "dispatch_wait_s": dispatch_wait_s,
                 "merge_s": merge_s,
-                "fused": fused_counters,
                 "staleness": {
                     "mode": "sharded-async",
                     "ring_slots": ring_slots,
@@ -1813,7 +1330,7 @@ def _run_sharded_staleness(
                     "lag_mean": (
                         sum(all_lags) / len(all_lags) if all_lags else 0.0
                     ),
-                    "consume_wait_s": consume_wait_s,
+                    "consume_wait_s": sum(map(sum, barrier_wait_s)),
                 },
             },
         )
@@ -1842,7 +1359,7 @@ def format_fleet(result: FleetResult) -> str:
             f"sharing={'on' if result.share_knowledge else 'off'}"
             + (
                 f", staleness={result.staleness_rounds}"
-                if result.staleness_rounds is not None
+                if result.staleness_rounds
                 else ""
             )
             + ")"

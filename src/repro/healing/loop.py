@@ -44,11 +44,7 @@ def drive_ticks(loop: "SelfHealingLoop", gen):
     campaign's episode/settle machinery) is written as generators:
     every ``yield`` means "advance the world one tick and hand me the
     ``(snapshot, event)`` pair".  This pump satisfies each request with
-    :meth:`SelfHealingLoop.step_once` — the single-service reference
-    path.  The fused fleet driver satisfies the *same* generators with
-    batched cross-member ticks instead, which is what keeps the two
-    execution modes bit-identical: there is exactly one copy of the
-    control flow.
+    :meth:`SelfHealingLoop.step_once`.
     """
     try:
         gen.send(None)

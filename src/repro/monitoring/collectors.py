@@ -155,26 +155,6 @@ class MetricCollector:
         self.collect_into(snapshot, row)
         return row
 
-    def collect_batch(
-        self, snapshots: list[TickSnapshot], out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Stack many snapshots' rows into one ``(len(snapshots), n)``
-        array.
-
-        The fused monitoring plane's entry point: each row is written
-        by the same :meth:`collect_into` the scalar path uses, so row
-        ``k`` is bit-identical to ``collect(snapshots[k])``.  ``out``
-        reuses a caller-owned array (zero-filled here) instead of
-        allocating.
-        """
-        if out is None:
-            out = np.zeros((len(snapshots), len(self.names)))
-        else:
-            out[:] = 0.0
-        for k, snapshot in enumerate(snapshots):
-            self.collect_into(snapshot, out[k])
-        return out
-
     def collect_into(
         self, snapshot: TickSnapshot, row: np.ndarray
     ) -> None:

@@ -510,8 +510,7 @@ _SCENARIOS: dict[str, ScenarioPack] = {
                 "update_statistics and repartition_memory dominate "
                 "(a wide plan surface multiplies optimizer drift); a "
                 "single service's active query width crosses the "
-                "columnar batch threshold, so the vectorized engine "
-                "path engages even without a fleet"
+                "engine's vector kernel threshold"
             ),
         ),
     )

@@ -1,9 +1,14 @@
 """Tests for the database execution engine."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from repro.database.engine import DatabaseEngine
+from repro.database import engine as engine_module
+from repro.database.engine import MIN_BATCH, DatabaseEngine
 from repro.database.locks import HungTransaction
+from repro.database.queries import rubis_query_templates
 
 
 @pytest.fixture
@@ -114,3 +119,175 @@ class TestFixEntryPoints:
 
     def test_kill_hung_query_with_nothing_hung(self, engine):
         assert engine.kill_hung_query() is None
+
+
+# ----------------------------------------------------------------------
+# Width dispatch: the vector kernel against the scalar reference loop.
+# ----------------------------------------------------------------------
+
+
+def _twin_engines(width: int = 13):
+    """Two identical engines with ``width`` query classes.
+
+    Widths beyond the stock 13-class RUBiS mix replicate templates
+    under fresh names, as the perf harness's width sweep does.
+    """
+    base = list(rubis_query_templates().values())
+    templates = {}
+    i = 0
+    while len(templates) < width:
+        template = base[i % len(base)]
+        name = template.name if i < len(base) else f"c{i}_{template.name}"
+        templates[name] = replace(template, name=name)
+        i += 1
+    return (
+        DatabaseEngine(templates=dict(templates)),
+        DatabaseEngine(templates=dict(templates)),
+        list(templates),
+    )
+
+
+def _state_signature(engine: DatabaseEngine) -> tuple:
+    """Every piece of engine state the tick loop reads or writes."""
+    return (
+        tuple(
+            (name, table.rows, table.partitions, dict(table.skew))
+            for name, table in sorted(engine.tables.items())
+        ),
+        tuple(
+            (
+                name,
+                stats.recorded_rows,
+                stats.analyzed_at,
+                dict(stats.recorded_skew),
+            )
+            for name, stats in sorted(
+                (n, engine.statistics.statistics_for(n))
+                for n in engine.tables
+            )
+        ),
+        engine._last_traffic,
+        engine.statistics.analyze_count,
+    )
+
+
+def _random_counts(rng, names, p_unknown=0.1):
+    counts = {
+        name: int(count)
+        for name, count in zip(
+            names, rng.integers(0, 40, size=len(names))
+        )
+    }
+    if rng.random() < p_unknown:
+        counts["no_such_query_class"] = int(rng.integers(1, 5))
+    return counts
+
+
+def _count_scalar_ticks(engine: DatabaseEngine) -> list:
+    """Record the ``now`` of every tick the scalar loop prices."""
+    calls = []
+    scalar = engine._process_tick_scalar
+
+    def counting(counts, now):
+        calls.append(now)
+        return scalar(counts, now)
+
+    engine._process_tick_scalar = counting
+    return calls
+
+
+@pytest.fixture
+def every_tick_wide(monkeypatch):
+    """Send every regular tick down the vector path, even at width 13."""
+    monkeypatch.setattr(engine_module, "MIN_BATCH", 1)
+
+
+class TestVectorKernel:
+    @pytest.mark.parametrize("width", [13, 64])
+    def test_healthy_ticks_bit_exact(self, width, every_tick_wide):
+        vector, reference, names = _twin_engines(width)
+        rng = np.random.default_rng(width)
+        for tick in range(300):
+            counts = _random_counts(rng, names)
+            assert vector.process_tick(
+                dict(counts), tick
+            ) == reference._process_tick_scalar(dict(counts), tick), (
+                f"tick {tick} diverged at width {width}"
+            )
+            assert _state_signature(vector) == _state_signature(
+                reference
+            ), f"state diverged after tick {tick}"
+
+    def test_vector_path_actually_runs(self):
+        # Guard against the differential silently comparing the scalar
+        # loop with itself: wide regular ticks must never reach it.
+        vector, reference, names = _twin_engines(max(64, MIN_BATCH + 8))
+        scalar_ticks = _count_scalar_ticks(vector)
+        rng = np.random.default_rng(3)
+        for tick in range(50):
+            counts = {
+                name: int(count)
+                for name, count in zip(
+                    names, rng.integers(1, 30, size=len(names))
+                )
+            }
+            assert vector.process_tick(
+                dict(counts), tick
+            ) == reference._process_tick_scalar(dict(counts), tick)
+        assert scalar_ticks == [], "wide regular ticks must not delegate"
+
+    def test_narrow_mix_delegates(self):
+        engine, _, names = _twin_engines(13)
+        scalar_ticks = _count_scalar_ticks(engine)
+        engine.process_tick({name: 5 for name in names}, 0)
+        assert scalar_ticks == [0], "13-class mixes sit below the crossover"
+        assert engine._kernel is None
+
+    def test_faulted_ticks_interleave_bit_exact(self, every_tick_wide):
+        # Random walks through the irregular-state space: skew faults,
+        # hung transactions, and the fix entry points that clear them.
+        # Every tick must match, whichever path the dispatch picks,
+        # and state must stay converged across path switches.
+        vector, reference, names = _twin_engines(13)
+        rng = np.random.default_rng(99)
+        hung = 0
+        for tick in range(400):
+            roll = rng.random()
+            if roll < 0.05:
+                table = ["items", "bids", "users"][int(rng.integers(3))]
+                for engine in (vector, reference):
+                    engine.tables[table].skew["hot_key"] = 25.0
+            elif roll < 0.10:
+                for engine in (vector, reference):
+                    for table in engine.tables.values():
+                        table.skew.clear()
+                    engine.update_statistics(tick)
+            elif roll < 0.13:
+                hung += 1
+                for engine in (vector, reference):
+                    engine.locks.register_hung_transaction(
+                        HungTransaction(f"t{hung}", "items", tick)
+                    )
+            elif roll < 0.16:
+                for engine in (vector, reference):
+                    engine.kill_hung_query()
+            elif roll < 0.18:
+                for engine in (vector, reference):
+                    engine.repartition_table("bids")
+            counts = _random_counts(rng, names)
+            assert vector.process_tick(
+                dict(counts), tick
+            ) == reference._process_tick_scalar(dict(counts), tick), (
+                f"tick {tick} diverged"
+            )
+            assert _state_signature(vector) == _state_signature(
+                reference
+            ), f"state diverged after tick {tick}"
+
+    def test_empty_and_zero_count_ticks(self, every_tick_wide):
+        vector, reference, names = _twin_engines(13)
+        zero = {name: 0 for name in names}
+        for tick, counts in enumerate(({}, zero, {"unknown": 3})):
+            assert vector.process_tick(
+                dict(counts), tick
+            ) == reference._process_tick_scalar(dict(counts), tick)

@@ -1,6 +1,8 @@
 """Tests for the fleet layer: knowledge, balancing, aggregation."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +22,11 @@ from repro.fleet import (
     weighted_mean,
 )
 from repro.healing.report import EpisodeReport
+from repro.scenarios.corpus import fingerprint_fleet, fleet_payload
+
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "golden_large_fleet.json"
+)
 
 
 def _report(
@@ -292,8 +299,6 @@ class TestFleetCampaign:
         assert serial.mean_attempts == sharded.mean_attempts
 
     def test_profile_dir_collects_worker_dumps(self, tmp_path):
-        import os
-
         run_fleet_campaign(
             n_services=2,
             episodes_per_service=1,
@@ -347,3 +352,24 @@ class TestFleetCampaign:
         out = capsys.readouterr().out
         assert "Fleet campaign: 1 services" in out
         assert "knowledge:" in out
+
+
+@pytest.mark.skipif(
+    not os.path.exists(GOLDEN_PATH), reason="large-fleet golden missing"
+)
+class TestLargeFleetGolden:
+    """The committed 256-service golden, replayed serially against its
+    per-service payload (CI's perf-smoke replays it too, via
+    ``benchmarks.perf --golden``)."""
+
+    def test_replays_bit_exactly(self):
+        with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
+            golden = json.load(handle)
+        result = run_fleet_campaign(
+            n_services=golden["n_services"],
+            episodes_per_service=golden["episodes_per_service"],
+            seed=golden["seed"],
+            workers=1,
+        )
+        assert fingerprint_fleet(result) == golden["fingerprint"]
+        assert fleet_payload(result) == golden["payload"]

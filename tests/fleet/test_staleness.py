@@ -6,8 +6,8 @@ output ring never rewrites a round the coordinator hasn't stashed, and
 windowed absorption conserves entries no matter how the watermarks are
 staggered.  Hypothesis pins each invariant in isolation; the
 integration tests then check the campaign-level contract — ``K = 0``
-reproduces the classic barrier statistics exactly, and ``K > 0`` stays
-inside its observed-lag budget.
+(the default) reproduces the serial barrier statistics exactly, and
+``K > 0`` stays inside its observed-lag budget.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.fleet.campaign import (
 from repro.fleet.knowledge import SharedKnowledgeBase
 from repro.fleet.transport import (
     UNBOUNDED_RING_SLOTS,
-    StalenessControlSegment,
+    ControlSegment,
     WorkerOutSegment,
     ring_slots_for,
 )
@@ -49,14 +49,13 @@ class TestRingSizing:
 
 class TestNormalizeStaleness:
     def test_accepted_values(self):
-        assert _normalize_staleness(None) is None
         assert _normalize_staleness(0) == 0
         assert _normalize_staleness(3) == 3
         assert _normalize_staleness(3.0) == 3
         assert _normalize_staleness(float("inf")) == float("inf")
 
     @pytest.mark.parametrize(
-        "bad", [-1, -0.5, 1.5, float("nan"), float("-inf"), "two"]
+        "bad", [-1, -0.5, 1.5, float("nan"), float("-inf"), "two", None]
     )
     def test_rejected_values(self, bad):
         with pytest.raises(ValueError):
@@ -64,6 +63,9 @@ class TestNormalizeStaleness:
 
 
 class TestStalenessControlSegment:
+    """The dispatch ring (:class:`ControlSegment`) that carries each
+    round's watermark and merge frontier to one worker."""
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.integers(min_value=2, max_value=6),
@@ -76,9 +78,9 @@ class TestStalenessControlSegment:
         """Every dispatch read back (through a second attachment, the
         worker's view) must return exactly the published record, with
         watermarks non-decreasing the way the coordinator issues them."""
-        owner = StalenessControlSegment(n_slots, n_services)
+        owner = ControlSegment(n_slots, n_services)
         try:
-            worker = StalenessControlSegment.attach(
+            worker = ControlSegment.attach(
                 owner.name, n_slots, n_services
             )
             try:
@@ -86,9 +88,9 @@ class TestStalenessControlSegment:
                 for r in range(n_rounds):
                     mark, frontier = 3 * r, max(0, r - 1)
                     targets = np.full(n_services, 1.0 + r)
-                    owner.publish_dispatch(r, mark, frontier, targets)
+                    owner.publish_round(r, mark, frontier, targets)
                     got_mark, got_frontier, got_targets = (
-                        worker.read_dispatch(r)
+                        worker.read_round(r)
                     )
                     assert got_mark == mark
                     assert got_frontier == frontier
@@ -102,21 +104,21 @@ class TestStalenessControlSegment:
             owner.unlink()
 
     def test_stale_slot_read_is_loud(self):
-        control = StalenessControlSegment(2, 1)
+        control = ControlSegment(2, 1)
         try:
-            control.publish_dispatch(0, 0, 0, [1.0])
+            control.publish_round(0, 0, 0, [1.0])
             # Round 2 reuses slot 0; reading it as round 2 before the
             # coordinator publishes round 2 is a discipline violation.
             with pytest.raises(RuntimeError, match="ring discipline"):
-                control.read_dispatch(2)
+                control.read_round(2)
         finally:
             control.close()
             control.unlink()
 
     def test_abort_flag_crosses_attachment(self):
-        owner = StalenessControlSegment(2, 1)
+        owner = ControlSegment(2, 1)
         try:
-            worker = StalenessControlSegment.attach(owner.name, 2, 1)
+            worker = ControlSegment.attach(owner.name, 2, 1)
             try:
                 assert not worker.aborted()
                 owner.abort()
@@ -314,6 +316,7 @@ def _canonical_fixes(result) -> list[tuple]:
 
 class TestSerialDelayed:
     def test_k0_matches_classic_barrier_exactly(self):
+        # K = 0 is the default: the round barrier.
         classic = run_fleet_campaign(
             n_services=2, episodes_per_service=3, seed=17
         )
@@ -328,9 +331,9 @@ class TestSerialDelayed:
         assert ledger["mode"] == "serial-delayed"
         assert ledger["rounds"] == 0
         assert ledger["lag_max"] == 0
-        assert classic.transport["staleness"] is None
-        assert classic.staleness_rounds is None
-        assert delayed.staleness_rounds == 0
+        assert classic.transport["staleness"] == ledger
+        assert classic.staleness_rounds == 0
+        assert "staleness" not in format_fleet(classic)
 
     def test_finite_budget_lags_by_min_of_round_and_k(self):
         result = run_fleet_campaign(
@@ -407,6 +410,13 @@ class TestShardedAsync:
         assert ledger["mode"] == "sharded-async"
         assert ledger["lag_max"] == 0
         assert ledger["ring_slots"] == ring_slots_for(0)
+        # Blocking coordinator waits, ledgered once per round.  A round
+        # takes the workers far longer than a dispatch takes the
+        # coordinator, so it blocks at least once.
+        waits = sharded.transport["barrier_wait_s"]
+        assert len(waits) == sharded.transport["rounds"] == 2
+        assert any(waits)
+        assert all(w >= 0.0 for round_waits in waits for w in round_waits)
 
     def test_positive_budget_stays_within_lag_bound(self):
         result = run_fleet_campaign(

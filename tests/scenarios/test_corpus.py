@@ -363,26 +363,3 @@ class TestCommittedCorpus:
             fingerprint_fleet(_run_fleet(entry.spec))
             == entry.fleet_fingerprint
         )
-
-    def test_fleet_entries_replay_bit_exactly_under_columnar(self):
-        # The committed fleet fingerprints were pinned with the object
-        # engine; the columnar engine must reproduce every one of them
-        # byte-identically (the corpus doubles as a hard-case
-        # differential set — each entry is a minimized reproducer of
-        # some healing pathology).
-        from repro.scenarios.corpus import _run_fleet, fingerprint_fleet
-
-        entries = [
-            e
-            for e in load_corpus(str(CORPUS_DIR))
-            if e.fleet_fingerprint is not None
-        ]
-        if not entries:
-            pytest.skip("corpus has no multi-service entries")
-        drifted = [
-            entry.name
-            for entry in entries
-            if fingerprint_fleet(_run_fleet(entry.spec, engine="columnar"))
-            != entry.fleet_fingerprint
-        ]
-        assert not drifted, f"columnar fleet drift: {drifted}"

@@ -1,17 +1,18 @@
 """Tests for the wide-mix pack: universe shape, determinism, batching.
 
 The wide mix exists to push a *single* service's active query width
-above the columnar batch crossover, so beyond the usual pack contracts
-(deterministic schedules, record/replay) these tests pin the
-engine-level consequences: the vectorized path engages without a
-fleet, and stays bit-identical to the object reference when it does.
+above the database engine's vector kernel crossover, so beyond the
+usual pack contracts (deterministic schedules, record/replay) these
+tests pin the engine-level consequences: the vector path engages, and
+stays bit-identical to the scalar reference loop when it does.
 """
 
 from __future__ import annotations
 
-import pytest
+import sys
 
-from repro.database.columnar import MIN_BATCH, install_columnar_engine
+from repro.database import engine as engine_module
+from repro.database.engine import MIN_BATCH
 from repro.database.queries import rubis_query_templates
 from repro.database.schema import rubis_schema
 from repro.fleet.campaign import run_fleet_campaign
@@ -25,6 +26,7 @@ from repro.scenarios.wide import (
 )
 from repro.simulator.config import ServiceConfig
 from repro.simulator.ejb import rubis_entry_points
+from repro.simulator.service import MultitierService
 
 
 class TestWideUniverse:
@@ -99,24 +101,41 @@ class TestWideMixPack:
         for _ in range(20):  # warm up past initial transients
             service.step()
         widths = []
+        engine = service.db.engine
+        price = engine.process_tick
+
+        def recording(counts, now):
+            widths.append(sum(1 for c in counts.values() if c > 0))
+            return price(counts, now)
+
+        engine.process_tick = recording
         for _ in range(10):
-            pending = service.begin_step()
-            assert pending.snapshot is None
-            widths.append(
-                sum(1 for c in pending.query_counts.values() if c > 0)
-            )
-            service.finish_step(pending)
+            service.step()
+        assert len(widths) == 10
         assert min(widths) >= MIN_BATCH
 
-    def test_single_service_columnar_is_bit_exact(self):
+    def test_single_service_columnar_is_bit_exact(self, monkeypatch):
         pack = get_scenario("wide_mix")
-        reference = build_scenario_service(pack, ServiceConfig(seed=11))
-        columnar = build_scenario_service(pack, ServiceConfig(seed=11))
-        accelerator = install_columnar_engine(columnar.db.engine)
-        vector_ticks = 0
-        for tick in range(200):
-            a = reference.step()
-            b = columnar.step()
+
+        def run(ticks=200):
+            service = build_scenario_service(pack, ServiceConfig(seed=11))
+            engine = service.db.engine
+            scalar = engine._process_tick_scalar
+            scalar_ticks = []
+
+            def counting(counts, now):
+                scalar_ticks.append(now)
+                return scalar(counts, now)
+
+            engine._process_tick_scalar = counting
+            return [service.step() for _ in range(ticks)], scalar_ticks
+
+        with monkeypatch.context() as patch:
+            # The scalar loop prices every tick of the reference run.
+            patch.setattr(engine_module, "MIN_BATCH", sys.maxsize)
+            reference, _ = run()
+        vector, scalar_ticks = run()
+        for tick, (a, b) in enumerate(zip(reference, vector)):
             assert a.latency_ms == b.latency_ms, f"tick {tick}"
             assert a.db_mean_service_ms == b.db_mean_service_ms
             assert a.plan_regret_ms == b.plan_regret_ms
@@ -124,10 +143,20 @@ class TestWideMixPack:
             assert a.full_scans == b.full_scans
             assert a.lock_wait_ms == b.lock_wait_ms
             assert a.stats_staleness == b.stats_staleness
-            if accelerator.regular_tick():
-                vector_ticks += 1
-        # The whole point of the pack: one member's width batches.
-        assert vector_ticks > 0
+        # The whole point of the pack: one service's ticks vectorize.
+        assert len(scalar_ticks) < len(vector)
+
+    def test_only_wide_mixes_take_the_vector_path(self):
+        stock = MultitierService(ServiceConfig(seed=5))
+        wide = build_scenario_service(
+            get_scenario("wide_mix"), ServiceConfig(seed=5)
+        )
+        for _ in range(30):
+            stock.step()
+            wide.step()
+        # The kernel is built on the first tick wide enough to use it.
+        assert stock.db.engine._kernel is None
+        assert wide.db.engine._kernel is not None
 
     def test_schedule_is_deterministic(self):
         pack = get_scenario("wide_mix")
@@ -144,24 +173,16 @@ class TestWideMixPack:
 
 
 class TestWideMixFleet:
-    def test_two_engine_fleet_equivalence(self):
+    def test_sharded_fleet_equivalence(self):
         shape = dict(
             n_services=2,
             episodes_per_service=1,
             seed=13,
-            workers=1,
             scenario="wide_mix",
         )
-        columnar = run_fleet_campaign(engine="columnar", **shape)
-        reference = run_fleet_campaign(engine="object", **shape)
-        assert fleet_payload(columnar) == fleet_payload(reference)
-        # Wide members fuse and batch even at n_services=2: each
-        # member alone is wider than the crossover.
-        fused = columnar.transport["fused"]
-        assert fused["fused_members"] == 2
-        assert fused["fallback_members"] == 0
-        assert fused["narrow_members"] == 0
-        assert fused["batched_engine_ticks"] > 0
+        sharded = run_fleet_campaign(workers=2, **shape)
+        serial = run_fleet_campaign(workers=1, **shape)
+        assert fleet_payload(sharded) == fleet_payload(serial)
 
     def test_record_replay_round_trip(self, tmp_path):
         from repro.scenarios.runner import replay_campaign, run_scenario
