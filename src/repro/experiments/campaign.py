@@ -4,9 +4,8 @@ A campaign repeatedly injects sampled faults into a live service run
 by a :class:`SelfHealingLoop` and collects the episode reports — the
 machinery behind the Figure 1/2 dependability study and the Table 2
 approach comparison.  The per-episode engine (`run_episode`) is shared
-with the fleet runner in :mod:`repro.fleet`, which interleaves many
-such campaigns behind a load balancer, and with the scenario packs in
-:mod:`repro.scenarios`, which feed prebuilt shaped services and
+with the fleet runner in :mod:`repro.fleet` and with the scenario packs
+in :mod:`repro.scenarios`, which feed prebuilt shaped services and
 deterministic fault schedules through the ``service`` / ``injector`` /
 ``faults`` hooks.
 """
@@ -33,13 +32,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CampaignResult",
+    "check_patience",
     "run_campaign",
     "run_episode",
-    "run_episode_gen",
     "run_slots",
-    "run_slots_gen",
     "settle",
-    "settle_gen",
 ]
 
 
@@ -93,6 +90,21 @@ class CampaignResult:
         return float(np.mean([r.detection_ticks for r in self.reports]))
 
 
+def check_patience(max_episode_wait: int, settle_ticks: int) -> None:
+    """Reject episode-engine patience knobs below one tick.
+
+    A zero or negative wait gives a fault no tick to be detected in
+    (every injection would count as undetected), and a zero settle
+    streak skips the hygiene between episodes.
+    """
+    for name, value in (
+        ("max_episode_wait", max_episode_wait),
+        ("settle_ticks", settle_ticks),
+    ):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def settle(
     loop: SelfHealingLoop, settle_ticks: int, max_ticks: int = 400
 ) -> None:
@@ -104,17 +116,7 @@ def settle(
     (windowed approaches would otherwise observe a gap between
     episodes).
     """
-    drive_ticks(loop, settle_gen(settle_ticks, max_ticks))
-
-
-def settle_gen(settle_ticks: int, max_ticks: int = 400):
-    """Generator form of :func:`settle` (one ``yield`` per tick)."""
-    streak = 0
-    for _ in range(max_ticks):
-        snapshot, _ = yield
-        streak = streak + 1 if not snapshot.slo_violated else 0
-        if streak >= settle_ticks:
-            break
+    drive_ticks(loop, max_ticks, settle_ticks)
 
 
 def run_episode(
@@ -134,28 +136,6 @@ def run_episode(
     start from a refreshed baseline either way.  Returns True when a
     report was produced.
     """
-    return drive_ticks(
-        loop,
-        run_episode_gen(
-            loop,
-            injector,
-            fault,
-            result,
-            max_episode_wait=max_episode_wait,
-            settle_ticks=settle_ticks,
-        ),
-    )
-
-
-def run_episode_gen(
-    loop: SelfHealingLoop,
-    injector: FaultInjector,
-    fault: Fault,
-    result: CampaignResult,
-    max_episode_wait: int = 150,
-    settle_ticks: int = 30,
-):
-    """Generator form of :func:`run_episode` (one ``yield`` per tick)."""
     service = loop.service
     injector.inject(fault, service.tick)
     result.injected += 1
@@ -165,7 +145,7 @@ def run_episode_gen(
     reports_before = len(loop.reports)
     waited = 0
     while len(loop.reports) == reports_before and waited < max_episode_wait:
-        yield from loop.run_gen(5)
+        loop.run(5)
         waited += 5
     detected = len(loop.reports) > reports_before
     if not detected:
@@ -185,7 +165,7 @@ def run_episode_gen(
             injector.clear_all(service.tick, cleared_by="posthoc-cleanup")
 
     # Let the service settle (and baselines refresh) between episodes.
-    yield from settle_gen(settle_ticks)
+    settle(loop, settle_ticks)
     return detected
 
 
@@ -196,52 +176,26 @@ def run_slots(
     result: CampaignResult,
     max_episode_wait: int = 150,
     settle_ticks: int = 30,
-) -> int:
+) -> None:
     """Run a slot-aligned sequence of episode slots back to back.
 
     ``None`` slots (a replica spared by a fleet strike) still settle
     the service so slot-aligned replicas stay roughly clock-aligned.
     This is the fleet round's in-worker batch unit: a worker runs a
     whole round of slots with no coordinator round-trips in between.
-    Returns the number of non-empty slots (episodes) run.
     """
-    return drive_ticks(
-        loop,
-        run_slots_gen(
-            loop,
-            injector,
-            slots,
-            result,
-            max_episode_wait=max_episode_wait,
-            settle_ticks=settle_ticks,
-        ),
-    )
-
-
-def run_slots_gen(
-    loop: SelfHealingLoop,
-    injector: FaultInjector,
-    slots: list[Fault | None],
-    result: CampaignResult,
-    max_episode_wait: int = 150,
-    settle_ticks: int = 30,
-):
-    """Generator form of :func:`run_slots` (one ``yield`` per tick)."""
-    episodes = 0
     for fault in slots:
         if fault is None:
-            yield from settle_gen(settle_ticks, max_ticks=settle_ticks * 2)
-            continue
-        episodes += 1
-        yield from run_episode_gen(
-            loop,
-            injector,
-            fault,
-            result,
-            max_episode_wait=max_episode_wait,
-            settle_ticks=settle_ticks,
-        )
-    return episodes
+            settle(loop, settle_ticks, max_ticks=settle_ticks * 2)
+        else:
+            run_episode(
+                loop,
+                injector,
+                fault,
+                result,
+                max_episode_wait=max_episode_wait,
+                settle_ticks=settle_ticks,
+            )
 
 
 def run_campaign(
@@ -283,6 +237,7 @@ def run_campaign(
             loop; purely observational (results are identical with it
             on or off).
     """
+    check_patience(max_episode_wait, settle_ticks)
     if service is None:
         service = MultitierService(
             config if config is not None else ServiceConfig(seed=seed)

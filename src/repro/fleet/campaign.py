@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.experiments.campaign import CampaignResult
+from repro.experiments.campaign import CampaignResult, check_patience
 from repro.faults.correlated import (
     FleetStrike,
     build_correlated_schedule,
@@ -685,6 +685,7 @@ def run_fleet_campaign(
         raise ValueError(
             f"episodes_per_round must be >= 1, got {episodes_per_round}"
         )
+    check_patience(max_episode_wait, settle_ticks)
     staleness = _normalize_staleness(staleness_rounds)
     if track_slo and workers > 1 and n_services > 1:
         raise ValueError(

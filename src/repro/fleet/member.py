@@ -17,12 +17,12 @@ import numpy as np
 from repro.core.approaches.signature import SignatureApproach
 from repro.core.synopses.base import Synopsis
 from repro.core.synopses.nearest_neighbor import NearestNeighborSynopsis
-from repro.experiments.campaign import CampaignResult, run_slots_gen
+from repro.experiments.campaign import CampaignResult, run_slots
 from repro.faults.base import Fault
 from repro.faults.injector import FaultInjector
 from repro.fixes.catalog import ALL_FIX_KINDS
 from repro.fleet.knowledge import KnowledgeEntry, KnowledgeSharingApproach
-from repro.healing.loop import SelfHealingLoop, drive_ticks
+from repro.healing.loop import SelfHealingLoop
 from repro.simulator.config import ServiceConfig
 from repro.simulator.rng import derive_rng
 from repro.simulator.service import MultitierService
@@ -34,9 +34,6 @@ __all__ = ["FleetMember", "FleetRoundStats"]
 class FleetRoundStats:
     """What one member reports back at a round barrier."""
 
-    index: int
-    episodes: int = 0
-    new_reports: int = 0
     downtime_fraction: float = 0.0
     contributions: list[tuple[np.ndarray, str, str]] = field(
         default_factory=list
@@ -221,28 +218,12 @@ class FleetMember:
         replica spent between fault injection and verified recovery —
         the health signal the balancer rebalances on.
         """
-        return drive_ticks(
-            self.loop,
-            self.run_round_gen(
-                faults,
-                max_episode_wait=max_episode_wait,
-                settle_ticks=settle_ticks,
-            ),
-        )
-
-    def run_round_gen(
-        self,
-        faults: list[Fault | None],
-        max_episode_wait: int = 150,
-        settle_ticks: int = 30,
-    ):
-        """Generator form of :meth:`run_round` (one ``yield`` per tick)."""
         if not self._warmed:
-            yield from self.loop.warmup_gen()
+            self.loop.warmup()
             self._warmed = True
         start_tick = self.service.tick
         reports_before = len(self.result.reports)
-        episodes = yield from run_slots_gen(
+        run_slots(
             self.loop,
             self.injector,
             faults,
@@ -263,9 +244,6 @@ class FleetMember:
             for report in new_reports
         )
         return FleetRoundStats(
-            index=self.index,
-            episodes=episodes,
-            new_reports=len(new_reports),
             downtime_fraction=(
                 min(1.0, downtime / elapsed) if elapsed > 0 else 0.0
             ),

@@ -37,21 +37,27 @@ __all__ = [
 ]
 
 
-def drive_ticks(loop: "SelfHealingLoop", gen):
-    """Pump a tick generator with the loop's own observation pipeline.
+def drive_ticks(
+    loop: "SelfHealingLoop", ticks: int, stable_ticks: int | None = None
+) -> tuple[bool, int]:
+    """Advance up to ``ticks`` ticks; return ``(stable, used)``.
 
-    The healing control flow (``heal``, ``run``, verification, the
-    campaign's episode/settle machinery) is written as generators:
-    every ``yield`` means "advance the world one tick and hand me the
-    ``(snapshot, event)`` pair".  This pump satisfies each request with
-    :meth:`SelfHealingLoop.step_once`.
+    The one multi-tick pump: warmup, fix-cost payment, verification
+    and the campaign's inter-episode settling all go through here, one
+    :meth:`SelfHealingLoop.step_once` per tick.  With ``stable_ticks``
+    set it stops as soon as that many consecutive SLO-compliant ticks
+    have passed and returns ``(True, used)``; otherwise (or when the
+    budget runs out first) it spends all ``ticks`` and returns
+    ``(False, ticks)``.  A non-positive budget spends nothing.
     """
-    try:
-        gen.send(None)
-        while True:
-            gen.send(loop.step_once())
-    except StopIteration as stop:
-        return stop.value
+    streak = 0
+    for used in range(1, ticks + 1):
+        snapshot, _ = loop.step_once()
+        if stable_ticks is not None:
+            streak = streak + 1 if not snapshot.slo_violated else 0
+            if streak >= stable_ticks:
+                return True, used
+    return False, max(0, ticks)
 
 
 class AttemptLedger:
@@ -233,21 +239,13 @@ class SelfHealingLoop:
         self.approach.observe_tick(self.harness.last_row, snapshot.slo_violated)
         return snapshot, event
 
-    # Backwards-compatible alias (pre-fleet internal name).
-    _tick = step_once
-
     def warmup(self, ticks: int | None = None) -> None:
         """Run fault-free until the baseline is established."""
-        drive_ticks(self, self.warmup_gen(ticks))
-
-    def warmup_gen(self, ticks: int | None = None):
-        """Generator form of :meth:`warmup` (one ``yield`` per tick)."""
         ticks = ticks if ticks is not None else (
             self.harness.baseline.baseline_window
             + self.harness.baseline.current_window + 10
         )
-        for _ in range(ticks):
-            yield
+        drive_ticks(self, ticks)
         if not self.harness.baseline.ready:
             raise RuntimeError("baseline not ready after warmup")
 
@@ -257,18 +255,13 @@ class SelfHealingLoop:
         Episodes consume ticks from the same budget (healing happens in
         real time).  Returns the episode reports completed in this run.
         """
-        return drive_ticks(self, self.run_gen(ticks))
-
-    def run_gen(self, ticks: int):
-        """Generator form of :meth:`run` (one ``yield`` per tick)."""
         completed_before = len(self.reports)
         remaining = ticks
         while remaining > 0:
-            _, event = yield
+            _, event = self.step_once()
             remaining -= 1
             if event is not None:
-                used = yield from self.heal_gen(event)
-                remaining -= used
+                remaining -= self.heal(event)
         return self.reports[completed_before:]
 
     # ------------------------------------------------------------------
@@ -277,10 +270,6 @@ class SelfHealingLoop:
 
     def heal(self, event: FailureEvent) -> int:
         """Heal one failure; returns the number of ticks consumed."""
-        return drive_ticks(self, self.heal_gen(event))
-
-    def heal_gen(self, event: FailureEvent):
-        """Generator form of :meth:`heal` (one ``yield`` per tick)."""
         report = self._new_report(event)
         telemetry = self.telemetry
         if telemetry is not None:
@@ -304,9 +293,9 @@ class SelfHealingLoop:
             application = recommendation.build().apply(self.service, event)
             if self.injector is not None:
                 self.injector.apply_fix(application, self.service.tick)
-            ticks_used += yield from self._pay_gen(application.cost_ticks)
+            ticks_used += self._pay(application.cost_ticks)
             repaired_tick = self.service.tick
-            fixed, used = yield from self._verify_gen()
+            fixed, used = self._verify()
             ticks_used += used
             self.approach.observe_outcome(event, recommendation, fixed)
             report.applications.append(application)
@@ -330,14 +319,14 @@ class SelfHealingLoop:
             report.successful_fix = report.applications[-1].kind
             report.recovered_at = self.service.tick
         else:
-            ticks_used += yield from self._escalate_gen(event, report)
+            ticks_used += self._escalate(event, report)
 
         self.reports.append(report)
         if telemetry is not None:
             telemetry.episode_end(report)
         return ticks_used
 
-    def _escalate_gen(self, event: FailureEvent, report: EpisodeReport):
+    def _escalate(self, event: FailureEvent, report: EpisodeReport) -> int:
         """Figure 3 lines 18-20: restart, notify, learn the admin's fix."""
         report.escalated = True
         telemetry = self.telemetry
@@ -351,9 +340,9 @@ class SelfHealingLoop:
         if self.injector is not None:
             self.injector.apply_fix(restart, self.service.tick)
         report.applications.append(restart)
-        ticks_used += yield from self._pay_gen(restart.cost_ticks)
+        ticks_used += self._pay(restart.cost_ticks)
         repaired_tick = self.service.tick
-        fixed, used = yield from self._verify_gen()
+        fixed, used = self._verify()
         ticks_used += used
         report.outcomes.append(fixed)
         if telemetry is not None:
@@ -380,7 +369,7 @@ class SelfHealingLoop:
         notify = build_fix(NOTIFY_ADMIN).apply(self.service, event)
         report.applications.append(notify)
         report.outcomes.append(False)
-        ticks_used += yield from self._pay_gen(notify.cost_ticks)
+        ticks_used += self._pay(notify.cost_ticks)
         notified_tick = self.service.tick
         if telemetry is not None:
             telemetry.record_notify(
@@ -391,7 +380,7 @@ class SelfHealingLoop:
         # by hand (injector oracle).
         category = report.fault_category
         delay = self._sample_admin_delay(category)
-        ticks_used += yield from self._pay_gen(delay)
+        ticks_used += self._pay(delay)
         arrived_tick = self.service.tick
         if telemetry is not None:
             before_state = telemetry.capture_state(self.harness)
@@ -402,7 +391,7 @@ class SelfHealingLoop:
             )
             if cleared:
                 admin_fix = cleared[0].canonical_fix
-        fixed, used = yield from self._verify_gen()
+        fixed, used = self._verify()
         ticks_used += used
         report.admin_resolved = True
         if fixed:
@@ -427,25 +416,18 @@ class SelfHealingLoop:
     # Helpers.
     # ------------------------------------------------------------------
 
-    def _pay_gen(self, cost_ticks: int):
-        for _ in range(max(0, cost_ticks)):
-            yield
-        return max(0, cost_ticks)
+    def _pay(self, cost_ticks: int) -> int:
+        """Let a fix's (or the admin's) cost elapse in real time."""
+        return drive_ticks(self, cost_ticks)[1]
 
-    def _verify_gen(self):
+    def _verify(self) -> tuple[bool, int]:
         """Check-fix: wait for sustained SLO compliance.
 
         "Care should be taken to let the service recover fully"
         (Section 4.1) — hence the stable-streak requirement rather than
         a single compliant tick.
         """
-        streak = 0
-        for used in range(1, self.verify_ticks + 1):
-            snapshot, _ = yield
-            streak = streak + 1 if not snapshot.slo_violated else 0
-            if streak >= self.stable_ticks:
-                return True, used
-        return False, self.verify_ticks
+        return drive_ticks(self, self.verify_ticks, self.stable_ticks)
 
     def _sample_admin_delay(self, category: str) -> int:
         mean = ADMIN_DELAY_MEAN.get(category, ADMIN_DELAY_MEAN["unknown"])

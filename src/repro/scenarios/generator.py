@@ -34,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.experiments.campaign import check_patience
 from repro.faults.app_faults import (
     DeadlockedThreadsFault,
     SoftwareAgingFault,
@@ -271,6 +272,9 @@ class GeneratedScenario:
                 f"unsupported generated-scenario version {version} "
                 f"(supported: {SPEC_VERSION})"
             )
+        max_episode_wait = int(payload["max_episode_wait"])
+        settle_ticks = int(payload["settle_ticks"])
+        check_patience(max_episode_wait, settle_ticks)
         return cls(
             name=str(payload["name"]),
             seed=int(payload["seed"]),
@@ -278,8 +282,8 @@ class GeneratedScenario:
             slo=dict(payload["slo"]) if payload.get("slo") else None,
             fault_plan=tuple(dict(slot) for slot in payload["fault_plan"]),
             fleet=dict(payload["fleet"]),
-            max_episode_wait=int(payload["max_episode_wait"]),
-            settle_ticks=int(payload["settle_ticks"]),
+            max_episode_wait=max_episode_wait,
+            settle_ticks=settle_ticks,
             version=version,
         )
 

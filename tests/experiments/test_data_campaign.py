@@ -55,6 +55,16 @@ class TestEpisodeGenerator:
 
 
 class TestCampaign:
+    @pytest.mark.parametrize("knob", ["settle_ticks", "max_episode_wait"])
+    def test_patience_below_one_rejected(self, knob):
+        with pytest.raises(ValueError, match=knob):
+            run_campaign(
+                approach=BottleneckAnalysisApproach(),
+                n_episodes=1,
+                seed=41,
+                **{knob: -5},
+            )
+
     def test_campaign_produces_reports(self):
         campaign = run_campaign(
             approach=BottleneckAnalysisApproach(),

@@ -229,6 +229,13 @@ class TestCorrelatedSchedule:
 
 
 class TestFleetCampaign:
+    @pytest.mark.parametrize("knob", ["settle_ticks", "max_episode_wait"])
+    def test_patience_below_one_rejected(self, knob):
+        with pytest.raises(ValueError, match=knob):
+            run_fleet_campaign(
+                n_services=1, episodes_per_service=1, seed=1, **{knob: 0}
+            )
+
     def test_same_seed_same_aggregates(self):
         a = run_fleet_campaign(n_services=2, episodes_per_service=2, seed=17)
         b = run_fleet_campaign(n_services=2, episodes_per_service=2, seed=17)

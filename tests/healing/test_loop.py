@@ -1,5 +1,7 @@
 """Tests for the end-to-end self-healing loop."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.approaches.bottleneck import BottleneckAnalysisApproach
@@ -11,7 +13,7 @@ from repro.faults.db_faults import StaleStatisticsFault
 from repro.faults.infra_faults import TierCapacityLossFault
 from repro.faults.injector import FaultInjector
 from repro.fixes.catalog import ALL_FIX_KINDS
-from repro.healing.loop import SelfHealingLoop
+from repro.healing.loop import SelfHealingLoop, drive_ticks
 from repro.simulator.config import ServiceConfig
 from repro.simulator.service import MultitierService
 
@@ -94,6 +96,51 @@ class TestLoopValidation:
     def test_warmup_required_amount(self):
         service, injector, loop = _loop(BottleneckAnalysisApproach())
         assert loop.harness.baseline.ready
+
+
+class _ScriptedLoop:
+    """A stand-in loop whose ticks replay scripted ``slo_violated`` flags."""
+
+    def __init__(self, flags):
+        self.flags = list(flags)
+        self.steps = 0
+
+    def step_once(self):
+        snapshot = SimpleNamespace(slo_violated=self.flags[self.steps])
+        self.steps += 1
+        return snapshot, None
+
+
+class TestDriveTicks:
+    """The one multi-tick pump behind warmup, fix costs, verify, settle."""
+
+    def test_plain_budget_spends_every_tick(self):
+        loop = _ScriptedLoop([False] * 10)
+        assert drive_ticks(loop, 7) == (False, 7)
+        assert loop.steps == 7
+
+    @pytest.mark.parametrize("ticks", [0, -3])
+    def test_non_positive_budget_spends_nothing(self, ticks):
+        loop = _ScriptedLoop([])
+        assert drive_ticks(loop, ticks) == (False, 0)
+        assert drive_ticks(loop, ticks, stable_ticks=2) == (False, 0)
+        assert loop.steps == 0
+
+    def test_streak_stops_on_the_completing_tick(self):
+        loop = _ScriptedLoop([True, False, False, False, False, False])
+        assert drive_ticks(loop, 6, stable_ticks=3) == (True, 4)
+        assert loop.steps == 4
+
+    def test_violation_resets_the_streak(self):
+        flags = [False, False, True, False, False, False, False]
+        loop = _ScriptedLoop(flags)
+        assert drive_ticks(loop, 7, stable_ticks=3) == (True, 6)
+        assert loop.steps == 6
+
+    def test_exhausted_budget_reports_unstable(self):
+        loop = _ScriptedLoop([False, True] * 5)
+        assert drive_ticks(loop, 10, stable_ticks=2) == (False, 10)
+        assert loop.steps == 10
 
 
 class TestAttemptLedger:

@@ -26,7 +26,11 @@ from repro.scenarios.corpus import (
     save_entry,
     shrink,
 )
-from repro.scenarios.generator import GeneratedScenario, sample_fault_spec
+from repro.scenarios.generator import (
+    GeneratedScenario,
+    generate_scenario,
+    sample_fault_spec,
+)
 
 CORPUS_DIR = Path(__file__).resolve().parents[2] / "corpus"
 
@@ -319,6 +323,14 @@ class TestCliExitCodes:
             main(["scenario", "run", "diurnal", "--approach", "oracle"]) == 2
         )
         assert "unknown approach" in capsys.readouterr().err
+
+    def test_spec_with_zero_patience_exits_nonzero(self, tmp_path, capsys):
+        payload = generate_scenario(9, 4).to_json_dict()
+        payload["settle_ticks"] = 0
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(payload))
+        assert main(["scenario", "run", str(spec)]) == 2
+        assert "settle_ticks must be >= 1" in capsys.readouterr().err
 
     def test_missing_trace_exits_nonzero(self, tmp_path, capsys):
         missing = str(tmp_path / "no-such-trace.jsonl")

@@ -134,6 +134,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="version"):
             GeneratedScenario.from_json_dict(payload)
 
+    @pytest.mark.parametrize("knob", ["settle_ticks", "max_episode_wait"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_patience_below_one_rejected(self, knob, value):
+        payload = generate_scenario(9, 4).to_json_dict()
+        payload[knob] = value
+        with pytest.raises(ValueError, match=knob):
+            GeneratedScenario.from_json_dict(payload)
+
 
 class TestPack:
     def test_pack_truncates_plan(self, rng):
